@@ -57,7 +57,10 @@ pub(crate) struct MlLevel {
 /// allocate/fault/free cycle on every apply costs more than the
 /// arithmetic it feeds. The buffers are sized on first use and kept
 /// across applies; a width change (a different batch size) triggers
-/// one resize.
+/// one resize. The preconditioner keeps a stack of them, so concurrent
+/// applies (one per serve dispatcher) each reuse a warm workspace; the
+/// stack never holds more entries than the peak number of concurrent
+/// applies.
 #[derive(Default)]
 pub(crate) struct BlockWs {
     k: usize,
@@ -76,23 +79,25 @@ struct LevelWs {
 }
 
 impl BlockWs {
-    /// Moves the cached workspace out of its slot, leaving an empty one.
-    /// The lock is held only for the swap — never across the hierarchy
-    /// walk — so `block_ws` stays a leaf in the lock-order graph.
-    fn take(slot: &Mutex<BlockWs>) -> BlockWs {
-        match slot.lock() {
-            Ok(mut g) => std::mem::take(&mut *g),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        }
+    /// Pops a cached workspace off the stack, or starts an empty one
+    /// when every cached workspace is in use. The lock is held only for
+    /// the pop — never across the hierarchy walk — so `block_ws` stays a
+    /// leaf in the lock-order graph.
+    fn take(stack: &Mutex<Vec<BlockWs>>) -> BlockWs {
+        let popped = match stack.lock() {
+            Ok(mut g) => g.pop(),
+            Err(poisoned) => poisoned.into_inner().pop(),
+        };
+        popped.unwrap_or_default()
     }
 
-    /// Puts a workspace back for the next apply (last writer wins). A
-    /// poisoned lock is reusable: every pass rewrites the buffers it
-    /// reads before reading them.
-    fn store(slot: &Mutex<BlockWs>, ws: BlockWs) {
-        match slot.lock() {
-            Ok(mut g) => *g = ws,
-            Err(poisoned) => *poisoned.into_inner() = ws,
+    /// Pushes a workspace back for the next apply. A poisoned lock is
+    /// reusable: every pass rewrites the buffers it reads before reading
+    /// them.
+    fn store(stack: &Mutex<Vec<BlockWs>>, ws: BlockWs) {
+        match stack.lock() {
+            Ok(mut g) => g.push(ws),
+            Err(poisoned) => poisoned.into_inner().push(ws),
         }
     }
 
@@ -120,9 +125,9 @@ pub struct MultilevelSteiner {
     pub(crate) smoothing: bool,
     pub(crate) omega: f64,
     pub(crate) n: usize,
-    /// Block-apply workspace; see [`BlockWs`]. Never serialized — the
-    /// artifact codec rebuilds an empty one on decode.
-    pub(crate) block_ws: Mutex<BlockWs>,
+    /// Stack of block-apply workspaces; see [`BlockWs`]. Never
+    /// serialized — the artifact codec rebuilds an empty one on decode.
+    pub(crate) block_ws: Mutex<Vec<BlockWs>>,
 }
 
 impl MultilevelSteiner {
@@ -169,7 +174,7 @@ impl MultilevelSteiner {
             smoothing: opts.smoothing,
             omega: opts.omega,
             n: g.num_vertices(),
-            block_ws: Mutex::new(BlockWs::default()),
+            block_ws: Mutex::new(Vec::new()),
         }
     }
 
@@ -388,14 +393,13 @@ impl Preconditioner for MultilevelSteiner {
         assert_eq!(r.n(), self.n, "apply_block: r column length");
         assert_eq!(z.n(), self.n, "apply_block: z column length");
         assert_eq!(r.k(), z.k(), "apply_block: block widths");
-        // Take the workspace out of its slot instead of holding the lock
+        // Pop a workspace off the stack instead of holding the lock
         // across the hierarchy walk: the walk calls into the level
         // operators, and a lock held across a deep call tree is exactly
         // the shape the lock-order analyzer refuses to certify. The lock
-        // is only ever held for the swap itself (see BlockWs::take/store).
-        // Contention is benign — a second block solve racing on one
-        // shared preconditioner takes an empty workspace, allocates its
-        // own buffers, and the last put-back wins.
+        // is only ever held for the pop and push (see BlockWs::take/store).
+        // Concurrent block solves on one shared preconditioner each pop
+        // their own workspace and push it back when done.
         let mut ws = BlockWs::take(&self.block_ws);
         ws.ensure(&self.levels, r.k());
         // The walk reads active columns of `r` and writes the matching
@@ -593,6 +597,83 @@ mod tests {
                         "smoothing={smoothing} coarse={coarse_size} col {j} active {active:?}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_block_applies_match_serial_and_share_the_stack() {
+        // Two threads apply one shared preconditioner at the same time,
+        // at pool caps 1 and 2: each result is bitwise the serial apply,
+        // and the workspace stack keeps one entry per concurrent apply.
+        let g = generators::grid2d(24, 24, |u, v| 1.0 + ((u + 3 * v) % 4) as f64);
+        let n = g.num_vertices();
+        let m = MultilevelSteiner::new(
+            &g,
+            &MultilevelOptions {
+                hierarchy: hicond_core::HierarchyOptions {
+                    coarse_size: 16,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let blocks: Vec<hicond_linalg::DenseBlock> = (0..2)
+            .map(|t| {
+                let cols: Vec<Vec<f64>> = (0..2)
+                    .map(|s| {
+                        let mut c: Vec<f64> = (0..n)
+                            .map(|i| ((i * 17 + s * 5 + t * 11) % 19) as f64 - 9.0)
+                            .collect();
+                        deflate_constant(&mut c);
+                        c
+                    })
+                    .collect();
+                hicond_linalg::DenseBlock::from_columns(&cols)
+            })
+            .collect();
+        let bits = |z: &hicond_linalg::DenseBlock| {
+            (0..z.k())
+                .flat_map(|j| z.col(j).iter().map(|f| f.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        let serial: Vec<Vec<u64>> = blocks
+            .iter()
+            .map(|r| {
+                let mut z = hicond_linalg::DenseBlock::new(n, r.k());
+                m.apply_block(r, &mut z, &[0, 1]);
+                bits(&z)
+            })
+            .collect();
+        for cap in [1, 2] {
+            for _round in 0..8 {
+                let start = std::sync::Barrier::new(2);
+                let got: Vec<Vec<u64>> = std::thread::scope(|s| {
+                    let handles: Vec<_> = blocks
+                        .iter()
+                        .map(|r| {
+                            let (m, start) = (&m, &start);
+                            s.spawn(move || {
+                                rayon::pool::with_thread_cap(cap, || {
+                                    let mut z = hicond_linalg::DenseBlock::new(n, r.k());
+                                    start.wait();
+                                    m.apply_block(r, &mut z, &[0, 1]);
+                                    bits(&z)
+                                })
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("apply thread"))
+                        .collect()
+                });
+                assert_eq!(got, serial, "cap {cap}: concurrent applies match serial");
+                let cached = m.block_ws.lock().map(|g| g.len()).unwrap_or(usize::MAX);
+                assert!(
+                    (1..=2).contains(&cached),
+                    "cap {cap}: stack holds {cached} workspaces"
+                );
             }
         }
     }

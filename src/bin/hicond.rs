@@ -239,7 +239,9 @@ fn cmd_solve(path: &str, args: &[String]) -> Result<(), String> {
 /// `--listen ADDR` (e.g. `127.0.0.1:0`) accepts concurrent clients,
 /// one thread each, and coalesces their pending right-hand sides into
 /// block solves (`HICOND_SERVE_BATCH` / `HICOND_SERVE_BATCH_WINDOW_MS`
-/// / `HICOND_SERVE_MAX_INFLIGHT`); the resolved address is printed as
+/// / `HICOND_SERVE_MAX_INFLIGHT`). One dispatcher per pool thread
+/// solves batches side by side, each on one thread. The window defaults
+/// to 0 (dispatch at once); the resolved address is printed as
 /// `listening <addr>` on stdout. `--conns N` exits after `N`
 /// connections have been served (CI smoke); without it the server runs
 /// until killed. Both transports enforce the request-line byte limit;
@@ -319,16 +321,21 @@ fn serve_listen(
     std::io::stdout()
         .flush()
         .map_err(|e| format!("stdout: {e}"))?;
-    eprintln!(
-        "batching up to {} rhs per block solve, {:?} window, {} inflight cap",
-        batch_cfg.max_batch, batch_cfg.window, batch_cfg.max_inflight
-    );
     let solver = std::sync::Arc::new(solver);
     let stats = std::sync::Arc::new(hicond::serve::ServeStats::new());
     let queue = hicond::serve::BatchQueue::new(batch_cfg);
     let dispatcher = queue.start(
         std::sync::Arc::clone(&solver),
         std::sync::Arc::clone(&stats),
+    );
+    let policy = queue.config();
+    eprintln!(
+        "batching up to {} rhs per block solve, {} ms window, {} inflight cap; \
+         {} dispatchers (pool width), each solving its batch on 1 thread",
+        policy.max_batch,
+        policy.window.as_millis(),
+        policy.max_inflight,
+        dispatcher.count()
     );
     let cfg = hicond::serve::ServeConfig {
         n,
@@ -361,11 +368,13 @@ fn cmd_client(addr: &str) -> Result<(), String> {
     let input = stdin.lock();
     let mut out = stdout.lock();
     for line in input.lines() {
-        let line = line.map_err(|e| format!("stdin: {e}"))?;
+        let mut line = line.map_err(|e| format!("stdin: {e}"))?;
         let quitting = line.trim() == "quit";
+        // One write per request: a separate write for the newline could
+        // sit behind the server's delayed ACK (Nagle).
+        line.push('\n');
         writer
             .write_all(line.as_bytes())
-            .and_then(|_| writer.write_all(b"\n"))
             .and_then(|_| writer.flush())
             .map_err(|e| format!("send: {e}"))?;
         if quitting {
@@ -641,7 +650,7 @@ fn cmd_flight_panic() -> Result<(), String> {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  hicond info <graph>\n  hicond decompose <graph> [--k K] [--method fixed|planar|tree] [--validate PHI RHO]\n  hicond solve <graph> <rhs|--demo> [--tol T] [--cached]\n  hicond serve <graph> [--tol T] [--listen ADDR [--conns N]]\n  hicond client <addr>                (stdin lines -> a --listen server, replies -> stdout)\n  hicond top [--check] [--trace ID]   (reads a serve session's output on stdin)\n  hicond cache ls|verify|gc [--all]\n  hicond cluster <graph> --k K [--method eigen|walk]\n\nserve --listen batches concurrent clients into block solves; tune with\nHICOND_SERVE_BATCH, HICOND_SERVE_BATCH_WINDOW_MS, HICOND_SERVE_MAX_INFLIGHT\nall graph-loading commands accept --weight-scale S (default 1000, METIS weight divisor)\ngraph files: native edge list ('n m' header + 'u v w' lines) or METIS (.metis/.graph)\ncache dir: $HICOND_CACHE_DIR (default .hicond-cache)"
+    "usage:\n  hicond info <graph>\n  hicond decompose <graph> [--k K] [--method fixed|planar|tree] [--validate PHI RHO]\n  hicond solve <graph> <rhs|--demo> [--tol T] [--cached]\n  hicond serve <graph> [--tol T] [--listen ADDR [--conns N]]\n  hicond client <addr>                (stdin lines -> a --listen server, replies -> stdout)\n  hicond top [--check] [--trace ID]   (reads a serve session's output on stdin)\n  hicond cache ls|verify|gc [--all]\n  hicond cluster <graph> --k K [--method eigen|walk]\n\nserve --listen batches concurrent clients into block solves, one dispatcher per\npool thread, each solving its batch on 1 thread; tune with\nHICOND_SERVE_BATCH (default 8), HICOND_SERVE_BATCH_WINDOW_MS (default 0: dispatch at\nonce; a nonzero window waits that long to coalesce more callers), HICOND_SERVE_MAX_INFLIGHT\nall graph-loading commands accept --weight-scale S (default 1000, METIS weight divisor)\ngraph files: native edge list ('n m' header + 'u v w' lines) or METIS (.metis/.graph)\ncache dir: $HICOND_CACHE_DIR (default .hicond-cache)"
 }
 
 fn main() -> ExitCode {

@@ -1,17 +1,29 @@
 //! Request coalescing for the concurrent serve front end: a bounded
-//! queue of parsed right-hand sides plus one dispatcher thread that
-//! folds whatever is pending into a single block solve
+//! queue of parsed right-hand sides plus one dispatcher thread per pool
+//! thread, each folding whatever is pending into a single block solve
 //! ([`hicond_precond::LaplacianSolver::solve_block`]).
 //!
 //! ## Dispatch policy
+//!
+//! [`BatchQueue::start`] spawns `rayon::current_num_threads()`
+//! dispatchers — the pool width — all draining the same queue, so a
+//! caller's request is solved on an idle core instead of queueing
+//! behind another caller's solve. Every batch solves on its own
+//! dispatcher thread under `rayon::pool::with_thread_cap(1, ..)`: the
+//! parallelism is across requests, not inside one solve, so concurrent
+//! batches run on separate cores without sharing pool workers. Solves
+//! are bitwise identical at every thread cap, so the cap changes timing,
+//! never replies.
 //!
 //! A batch closes on whichever trigger fires first:
 //!
 //! - **size** — `HICOND_SERVE_BATCH` right-hand sides are pending
 //!   (default 8), or
 //! - **time** — `HICOND_SERVE_BATCH_WINDOW_MS` elapsed since the
-//!   dispatcher first saw the oldest pending request (default 2 ms), so
-//!   a lone client never waits longer than one window.
+//!   dispatcher first saw the oldest pending request. The default is 0:
+//!   dispatch is work-conserving, and an idle dispatcher takes whatever
+//!   is pending at once. A nonzero window trades that much added
+//!   latency for larger block solves when many callers arrive together.
 //!
 //! Admission control is a hard cap, not a queue: when
 //! `HICOND_SERVE_MAX_INFLIGHT` right-hand sides are already pending or
@@ -31,10 +43,10 @@
 //!
 //! ## Shutdown
 //!
-//! [`BatchQueue::shutdown`] flips the queue into drain mode: new submits
-//! are refused, everything already admitted is still solved and
-//! answered, and the final [`DrainReport`] says how deep the queue was
-//! when the drain began.
+//! [`BatchQueue::shutdown`] flips the queue into drain mode and wakes
+//! every dispatcher: new submits are refused, everything already
+//! admitted is still solved and answered, and the final [`DrainReport`]
+//! says how deep the queue was when the drain began.
 
 use super::ServeStats;
 use hicond_precond::{LaplacianSolver, Solution, SolveError};
@@ -50,8 +62,9 @@ pub struct BatchConfig {
     /// Maximum right-hand sides folded into one block solve
     /// (`HICOND_SERVE_BATCH`, default 8, minimum 1).
     pub max_batch: usize,
-    /// How long the dispatcher holds an underfull batch open waiting
-    /// for company (`HICOND_SERVE_BATCH_WINDOW_MS`, default 2 ms).
+    /// How long a dispatcher holds an underfull batch open waiting for
+    /// company (`HICOND_SERVE_BATCH_WINDOW_MS`, default 0: dispatch at
+    /// once).
     pub window: Duration,
     /// Admission cap across queued + solving right-hand sides
     /// (`HICOND_SERVE_MAX_INFLIGHT`, default `4 * max_batch`).
@@ -63,7 +76,7 @@ impl Default for BatchConfig {
         let max_batch = 8;
         BatchConfig {
             max_batch,
-            window: Duration::from_millis(2),
+            window: Duration::ZERO,
             max_inflight: 4 * max_batch,
         }
     }
@@ -135,20 +148,20 @@ struct Pending {
 
 struct QueueState {
     pending: VecDeque<Pending>,
-    /// Right-hand sides checked out by the dispatcher, not yet answered.
+    /// Right-hand sides checked out by dispatchers, not yet answered.
     solving: usize,
     shutdown: bool,
     completed: u64,
 }
 
 /// The shared coalescing queue. Connections [`submit`](BatchQueue::submit)
-/// parsed right-hand sides; the dispatcher thread (started by
-/// [`BatchQueue::start`]) forms batches and answers through per-request
+/// parsed right-hand sides; the dispatcher threads (started by
+/// [`BatchQueue::start`]) form batches and answer through per-request
 /// channels. Plain `Mutex` + `Condvar`: the queue is a control-plane
 /// structure — the data plane (the block solve) runs outside the lock.
 pub struct BatchQueue {
     state: Mutex<QueueState>,
-    /// Signals the dispatcher: work arrived or shutdown was requested.
+    /// Signals the dispatchers: work arrived or shutdown was requested.
     work: Condvar,
     cfg: BatchConfig,
 }
@@ -166,7 +179,7 @@ fn lock_state<'a>(m: &'a Mutex<QueueState>) -> MutexGuard<'a, QueueState> {
 
 impl BatchQueue {
     /// Creates an idle queue; call [`start`](BatchQueue::start) to spawn
-    /// the dispatcher that actually solves.
+    /// the dispatchers that actually solve.
     pub fn new(cfg: BatchConfig) -> Arc<BatchQueue> {
         Arc::new(BatchQueue {
             state: Mutex::new(QueueState {
@@ -185,21 +198,28 @@ impl BatchQueue {
         &self.cfg
     }
 
-    /// Spawns the dispatcher thread. Returns a handle whose
-    /// [`Dispatcher::join`] blocks until [`shutdown`](BatchQueue::shutdown)
-    /// has been called and the drain finished.
+    /// Spawns one dispatcher thread per pool thread
+    /// (`rayon::current_num_threads()` on the calling thread). Returns a
+    /// handle whose [`Dispatcher::join`] blocks until
+    /// [`shutdown`](BatchQueue::shutdown) has been called and the drain
+    /// finished.
     pub fn start(
         self: &Arc<BatchQueue>,
         solver: Arc<LaplacianSolver>,
         stats: Arc<ServeStats>,
     ) -> Dispatcher {
-        let queue = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("serve-batch-dispatcher".into())
-            .spawn(move || queue.dispatch_loop(&solver, &stats));
-        Dispatcher {
-            handle: handle.ok(),
-        }
+        let handles = (0..rayon::current_num_threads())
+            .filter_map(|i| {
+                let queue = Arc::clone(self);
+                let solver = Arc::clone(&solver);
+                let stats = Arc::clone(&stats);
+                std::thread::Builder::new()
+                    .name(format!("serve-batch-dispatcher-{i}"))
+                    .spawn(move || queue.dispatch_loop(&solver, &stats))
+                    .ok()
+            })
+            .collect();
+        Dispatcher { handles }
     }
 
     /// Admits one parsed right-hand side, returning the channel its
@@ -238,7 +258,7 @@ impl BatchQueue {
 
     /// Flips the queue into drain mode and reports the depth at that
     /// instant. Admitted requests are still solved and answered; the
-    /// dispatcher exits once the queue is empty (wait on
+    /// dispatchers exit once the queue is empty (wait on
     /// [`Dispatcher::join`] for that). Idempotent.
     pub fn shutdown(&self) -> DrainReport {
         let mut st = lock_state(&self.state);
@@ -247,7 +267,9 @@ impl BatchQueue {
             queued_at_shutdown: st.pending.len(),
             completed: st.completed,
         };
-        self.work.notify_one();
+        // Every dispatcher must see the flag: an idle one woken by
+        // nobody would never exit and `Dispatcher::join` would hang.
+        self.work.notify_all();
         report
     }
 
@@ -260,7 +282,9 @@ impl BatchQueue {
                 None => return, // shutdown and nothing left to drain
             };
             let k = batch.len();
-            self.solve_batch(batch, solver, stats);
+            // Parallelism comes from the other dispatchers, one per pool
+            // thread, not from the pool inside this solve.
+            rayon::pool::with_thread_cap(1, || self.solve_batch(batch, solver, stats));
             let mut st = lock_state(&self.state);
             st.solving -= k;
             st.completed += k as u64;
@@ -273,42 +297,54 @@ impl BatchQueue {
     /// in `solving` until `dispatch_loop` returns them.
     fn collect_batch(&self, stats: &ServeStats) -> Option<Vec<Pending>> {
         let mut st = lock_state(&self.state);
-        // Phase 1: wait for any work at all.
-        while st.pending.is_empty() {
-            if st.shutdown {
-                return None;
+        loop {
+            // Phase 1: wait for any work at all.
+            while st.pending.is_empty() {
+                if st.shutdown {
+                    return None;
+                }
+                st = match self.work.wait(st) {
+                    Ok(g) => g,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
             }
-            st = match self.work.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        // Phase 2: hold the batch open for the time window unless the
-        // size trigger (or shutdown, which drains immediately) fires
-        // first. The window measures from when the dispatcher saw the
-        // batch's first member — one lone request waits at most one
-        // window.
-        //
-        // audit: allow(instant-now) — dispatch-deadline bookkeeping;
-        // wall time never reaches the solver numerics.
-        let deadline = Instant::now() + self.cfg.window;
-        while st.pending.len() < self.cfg.max_batch && !st.shutdown {
-            // audit: allow(instant-now) — see the deadline note above.
-            let now = Instant::now();
-            if now >= deadline {
-                break;
+            // Phase 2: hold the batch open for the time window unless
+            // the size trigger (or shutdown, which drains immediately)
+            // fires first. The window measures from when this
+            // dispatcher saw the batch's first member — one lone request
+            // waits at most one window.
+            //
+            // audit: allow(instant-now) — dispatch-deadline bookkeeping;
+            // wall time never reaches the solver numerics.
+            let deadline = Instant::now() + self.cfg.window;
+            while !st.pending.is_empty() && st.pending.len() < self.cfg.max_batch && !st.shutdown {
+                // audit: allow(instant-now) — see the deadline note above.
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                let (guard, _timeout) = match self.work.wait_timeout(st, deadline - now) {
+                    Ok(pair) => pair,
+                    Err(poisoned) => poisoned.into_inner(),
+                };
+                st = guard;
             }
-            let (guard, _timeout) = match self.work.wait_timeout(st, deadline - now) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            st = guard;
+            if st.pending.is_empty() {
+                // Another dispatcher took the requests this one was
+                // holding open: wait for new work, never solve nothing.
+                continue;
+            }
+            let k = st.pending.len().min(self.cfg.max_batch);
+            let batch: Vec<Pending> = st.pending.drain(..k).collect();
+            if !st.pending.is_empty() {
+                // The submits' wake-ups may all have landed on this
+                // dispatcher; hand the leftovers to an idle one.
+                self.work.notify_one();
+            }
+            st.solving += k;
+            stats.set_queue_gauges(st.pending.len() as u64, st.solving as u64);
+            return Some(batch);
         }
-        let k = st.pending.len().min(self.cfg.max_batch);
-        let batch: Vec<Pending> = st.pending.drain(..k).collect();
-        st.solving += k;
-        stats.set_queue_gauges(st.pending.len() as u64, st.solving as u64);
-        Some(batch)
     }
 
     /// Runs one block solve outside the lock and answers every member.
@@ -351,16 +387,21 @@ impl BatchQueue {
     }
 }
 
-/// Join handle for the dispatcher thread.
+/// Join handle for the dispatcher threads.
 pub struct Dispatcher {
-    handle: Option<std::thread::JoinHandle<()>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Dispatcher {
-    /// Waits for the dispatcher to finish draining (call
+    /// Number of dispatcher threads running.
+    pub fn count(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// Waits for every dispatcher to finish draining (call
     /// [`BatchQueue::shutdown`] first or this blocks forever).
-    pub fn join(mut self) {
-        if let Some(h) = self.handle.take() {
+    pub fn join(self) {
+        for h in self.handles {
             let _ = h.join();
         }
     }
@@ -384,41 +425,52 @@ mod tests {
     #[test]
     fn size_trigger_forms_one_batch_of_k() {
         let (solver, b) = solver_and_rhs();
-        let stats = Arc::new(ServeStats::new());
-        // Huge window: only the size trigger can close the batch, so the
-        // coalescing below is deterministic, not timing-lucky.
-        let cfg = BatchConfig {
-            max_batch: 3,
-            window: Duration::from_secs(600),
-            max_inflight: 12,
-        };
-        let queue = BatchQueue::new(cfg);
-        let dispatcher = queue.start(Arc::clone(&solver), Arc::clone(&stats));
-        let rxs: Vec<_> = (0..3)
-            .map(|i| queue.submit(b.clone(), 100 + i).expect("admitted"))
-            .collect();
-        for rx in rxs {
-            let sol = rx.recv().expect("answered").expect("converged");
-            let solo = solver.solve(&b).expect("solo converges");
+        // One dispatcher, then two competing for the same requests.
+        for dispatchers in [1, 2] {
+            let stats = Arc::new(ServeStats::new());
+            // Huge window: only the size trigger can close the batch, so
+            // the coalescing below is deterministic, not timing-lucky.
+            let cfg = BatchConfig {
+                max_batch: 3,
+                window: Duration::from_secs(600),
+                max_inflight: 12,
+            };
+            let queue = BatchQueue::new(cfg);
+            let dispatcher = rayon::pool::with_thread_cap(dispatchers, || {
+                queue.start(Arc::clone(&solver), Arc::clone(&stats))
+            });
+            assert_eq!(dispatcher.count(), dispatchers);
+            let rxs: Vec<_> = (0..3)
+                .map(|i| queue.submit(b.clone(), 100 + i).expect("admitted"))
+                .collect();
+            for rx in rxs {
+                let sol = rx.recv().expect("answered").expect("converged");
+                let solo = solver.solve(&b).expect("solo converges");
+                assert_eq!(
+                    sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    solo.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "batched member bitwise equals the solo solve"
+                );
+            }
+            assert_eq!(stats.batch_size.count(), 1, "one batch formed");
             assert_eq!(
-                sol.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                solo.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "batched member bitwise equals the solo solve"
+                stats
+                    .batch_size
+                    .quantile_interpolated(0.5)
+                    .map(|v| v.round()),
+                Some(3.0),
+                "the batch held all three members"
+            );
+            let report = queue.shutdown();
+            dispatcher.join();
+            assert_eq!(report.queued_at_shutdown, 0);
+            assert_eq!(queue.depth(), 0);
+            assert_eq!(
+                stats.batch_size.count(),
+                1,
+                "an idle dispatcher formed none"
             );
         }
-        assert_eq!(stats.batch_size.count(), 1, "one batch formed");
-        assert_eq!(
-            stats
-                .batch_size
-                .quantile_interpolated(0.5)
-                .map(|v| v.round()),
-            Some(3.0),
-            "the batch held all three members"
-        );
-        let report = queue.shutdown();
-        dispatcher.join();
-        assert_eq!(report.queued_at_shutdown, 0);
-        assert_eq!(queue.depth(), 0);
     }
 
     #[test]
@@ -492,10 +544,127 @@ mod tests {
     }
 
     #[test]
+    fn two_dispatchers_drain_answers_each_request_once() {
+        let (solver, b) = solver_and_rhs();
+        let stats = Arc::new(ServeStats::new());
+        let cfg = BatchConfig {
+            max_batch: 2,
+            window: Duration::from_secs(600),
+            max_inflight: 16,
+        };
+        let queue = BatchQueue::new(cfg);
+        let dispatcher =
+            rayon::pool::with_thread_cap(2, || queue.start(solver, Arc::clone(&stats)));
+        let rxs: Vec<_> = (0..7)
+            .map(|i| queue.submit(b.clone(), i).expect("admitted"))
+            .collect();
+        // Shutdown wakes both dispatchers; between them they answer
+        // everything, and `join` returns.
+        queue.shutdown();
+        dispatcher.join();
+        for rx in rxs {
+            assert!(rx.recv().expect("answered").is_ok(), "drain answers");
+            assert!(
+                matches!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected)),
+                "answered exactly once"
+            );
+        }
+        assert_eq!(queue.shutdown().completed, 7);
+        assert_eq!(queue.depth(), 0);
+        assert_eq!(stats.batch_size.bucket_counts()[0], 0, "no empty batch");
+    }
+
+    #[test]
+    fn two_dispatchers_never_record_an_empty_batch() {
+        // Both dispatchers hold the same pending requests open under a
+        // long window; shutdown drains them through one, and the other
+        // must go back to waiting instead of solving nothing.
+        let (solver, b) = solver_and_rhs();
+        for round in 0..5 {
+            let stats = Arc::new(ServeStats::new());
+            let cfg = BatchConfig {
+                max_batch: 8,
+                window: Duration::from_secs(600),
+                max_inflight: 32,
+            };
+            let queue = BatchQueue::new(cfg);
+            let dispatcher = rayon::pool::with_thread_cap(2, || {
+                queue.start(Arc::clone(&solver), Arc::clone(&stats))
+            });
+            let mut rxs = Vec::new();
+            for i in 0..3 {
+                rxs.push(queue.submit(b.clone(), i).expect("admitted"));
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            queue.shutdown();
+            dispatcher.join();
+            for rx in rxs {
+                assert!(rx.recv().expect("answered").is_ok());
+            }
+            assert!(stats.batch_size.count() >= 1, "round {round}: drained");
+            assert_eq!(
+                stats.batch_size.bucket_counts()[0],
+                0,
+                "round {round}: a zero-size batch was recorded"
+            );
+        }
+    }
+
+    #[test]
+    fn leftover_requests_wake_an_idle_dispatcher() {
+        let (_, b) = solver_and_rhs();
+        let stats = Arc::new(ServeStats::new());
+        let cfg = BatchConfig {
+            max_batch: 3,
+            window: Duration::ZERO,
+            max_inflight: 12,
+        };
+        let queue = BatchQueue::new(cfg);
+        // An idle dispatcher parks in its wait for work.
+        let (done_tx, done_rx) = mpsc::channel();
+        let idle = {
+            let queue = Arc::clone(&queue);
+            let stats = Arc::clone(&stats);
+            std::thread::spawn(move || {
+                let batch = queue.collect_batch(&stats).map(|b| b.len());
+                let _ = done_tx.send(batch);
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        // max_batch + 1 requests arrive, and their wake-ups all go to the
+        // busy dispatcher below (pushed without a notify).
+        let mut rxs = Vec::new();
+        {
+            let mut st = lock_state(&queue.state);
+            for i in 0..4 {
+                let (tx, rx) = mpsc::sync_channel(1);
+                st.pending.push_back(Pending {
+                    rhs: b.clone(),
+                    trace: i,
+                    tx,
+                });
+                rxs.push(rx);
+            }
+        }
+        let first = queue.collect_batch(&stats).expect("a batch");
+        assert_eq!(first.len(), 3, "the size trigger closes the first batch");
+        // The first batch is still checked out (never solved here), so
+        // the leftover request is taken by the idle dispatcher, not by
+        // the busy one after its solve.
+        let second = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the idle dispatcher was woken for the leftover request");
+        assert_eq!(second, Some(1));
+        idle.join().expect("idle dispatcher exits");
+        assert_eq!(queue.depth(), 4, "all four requests are checked out");
+    }
+
+    #[test]
     fn batch_config_env_defaults_and_bounds() {
         let cfg = BatchConfig::default();
         assert_eq!(cfg.max_batch, 8);
         assert_eq!(cfg.max_inflight, 32);
+        assert_eq!(cfg.window, Duration::ZERO, "work-conserving by default");
         assert!(read_env_usize("HICOND_NO_SUCH_VAR_XYZ", 1)
             .expect("unset is None")
             .is_none());

@@ -46,9 +46,10 @@
 //!   per request; the stdin transport) and [`respond_batched`] (routes
 //!   solve requests through a shared [`batch::BatchQueue`] so concurrent
 //!   clients coalesce into one block solve; the TCP transport)
-//! - [`batch`]: the coalescing queue + dispatcher thread (size trigger
-//!   `HICOND_SERVE_BATCH`, time window `HICOND_SERVE_BATCH_WINDOW_MS`,
-//!   admission cap `HICOND_SERVE_MAX_INFLIGHT`)
+//! - [`batch`]: the coalescing queue + one dispatcher per pool thread
+//!   (size trigger `HICOND_SERVE_BATCH`, time window
+//!   `HICOND_SERVE_BATCH_WINDOW_MS`, admission cap
+//!   `HICOND_SERVE_MAX_INFLIGHT`)
 //! - [`server`]: the byte-level transports — a bounded line reader
 //!   (max-line + idle-timeout guard, shared by stdin and TCP) and the
 //!   thread-per-connection TCP front end
@@ -60,6 +61,7 @@ pub use batch::{BatchConfig, BatchQueue, SubmitError};
 pub use server::{max_line_bytes, read_bounded_line, serve_tcp, LineEvent, ServeConfig};
 
 use hicond_precond::{LaplacianSolver, Solution};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -396,13 +398,21 @@ fn ok_reply(sol: &Solution, stats: &ServeStats) -> String {
     if let Some(median) = stats.iterations.quantile_interpolated(0.5) {
         hicond_obs::watchdog::check_staleness(iters, median, stats.iterations.count());
     }
-    let mut reply = format!("ok {} {:.3e}", sol.iterations, sol.rel_residual);
+    // One allocation for the whole line: a value is at most 26 bytes
+    // (` -4.94065645841246544e-324`), the header at most 40.
+    // reach: allow(reach-alloc, sol.x holds exactly the solver dimension n — fixed by the operator's own graph, never by the peer — so the reply is bounded by 40 + 26n bytes)
+    let mut reply = String::with_capacity(40 + REPLY_BYTES_PER_VALUE * sol.x.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(reply, "ok {} {:.3e}", sol.iterations, sol.rel_residual);
     for x in &sol.x {
-        reply.push(' ');
-        reply.push_str(&format!("{x:.17e}"));
+        let _ = write!(reply, " {x:.17e}");
     }
     reply
 }
+
+/// Upper bound on the bytes one solution value adds to an `ok` reply:
+/// a space plus `{:.17e}` of the longest f64 (a negative subnormal).
+const REPLY_BYTES_PER_VALUE: usize = 26;
 
 /// Books one shed/shutdown rejection (error counters + `req_close`
 /// event) and builds the structured `ERR busy` reply.
@@ -472,6 +482,22 @@ mod tests {
         }
         assert_eq!(stats.requests(), 1);
         assert_eq!(stats.errors(), 0);
+    }
+
+    #[test]
+    fn ok_reply_bytes_are_pinned() {
+        let sol = Solution {
+            x: vec![0.0, -0.0, f64::from_bits(1), 1e300, -1e300],
+            iterations: 7,
+            rel_residual: 1.5e-9,
+        };
+        let reply = ok_reply(&sol, &ServeStats::new());
+        assert_eq!(
+            reply,
+            "ok 7 1.500e-9 0.00000000000000000e0 -0.00000000000000000e0 \
+             4.94065645841246544e-324 1.00000000000000005e300 -1.00000000000000005e300"
+        );
+        assert!(reply.len() <= 40 + REPLY_BYTES_PER_VALUE * sol.x.len());
     }
 
     #[test]
