@@ -13,11 +13,13 @@
 //! `"metrics"` key.
 //!
 //! A kernel-level phase additionally times each SpMV/PCG **variant pair**
-//! (unblocked vs row-band blocked, unfused vs fused) single-threaded and
-//! normalizes to ns-per-nnz and modelled bytes-per-nnz — the
-//! cycles-per-nnz table of DESIGN.md §12. Each pair is gated bitwise
-//! against its reference variant before any timing, so a fused or blocked
-//! kernel that diverges by one ULP fails the run.
+//! single-threaded and normalizes to ns-per-nnz and modelled
+//! bytes-per-nnz — the cycles-per-nnz table of DESIGN.md §12. The SpMV
+//! pair is unblocked vs row-band blocked; the PCG pair is the textbook
+//! reference (`pcg_solve_unfused`, row `unfused`) vs the engine
+//! (`pcg_solve`, the one-column block PCG, row `fused`). Each pair is
+//! gated bitwise against its reference variant before any timing, so an
+//! engine or blocked kernel that diverges by one ULP fails the run.
 //!
 //! Usage:
 //!   bench_suite [--smoke] [--out PATH] [--baseline PATH]
@@ -32,8 +34,9 @@
 //!
 //! A **batched-solve phase** sweeps the multi-client coalescing width
 //! k ∈ {1, 2, 4, 8} on the planar benchmark: k sequential
-//! `LaplacianSolver::solve` calls vs one `solve_block` over the same k
-//! right-hand sides, interleaved. Each width is first gated bitwise —
+//! `LaplacianSolver::solve` calls (each a one-column block solve) vs one
+//! `solve_block` over the same k right-hand sides, interleaved, so the
+//! comparison measures batching alone. Each width is first gated bitwise —
 //! every block column must equal its solo solve at 1 thread *and* at the
 //! maximum cap — and in full mode the run aborts unless batched k=8
 //! throughput strictly exceeds sequential k=1 (the `hicond serve
@@ -135,8 +138,8 @@ fn spmv_bytes_per_nnz(n: usize, nnz: usize, blocked: bool) -> f64 {
 /// Modelled streamed bytes per iteration·nnz for Jacobi-PCG: one SpMV
 /// sweep plus `sweeps` full n-vector streams (reads + writes) of the BLAS-1
 /// tail. Unfused: z=Mr, r·z, α-denominator dot, x-axpy, r-axpy, ‖r‖², and
-/// the p update — 16 vector streams. Fusion folds the preconditioner apply
-/// into the r·z dot and the x/r updates into the norm sweep — 14 streams.
+/// the p update — 16 vector streams. The engine folds the x/r updates into
+/// the norm sweep — 15 streams.
 fn pcg_bytes_per_nnz(n: usize, nnz: usize, blocked: bool, sweeps: usize) -> f64 {
     spmv_bytes_per_nnz(n, nnz, blocked) + (8 * n * sweeps) as f64 / nnz as f64
 }
@@ -363,9 +366,10 @@ fn main() {
             spmv_bytes_per_nnz(n, nnz, true),
         ));
 
-        // PCG: unfused vs fused solver, both over the blocked SpMV so the
-        // pair isolates the fusion win. Fixed iteration count (rel_tol 0)
-        // keeps the two trajectories the same length.
+        // PCG: the textbook reference loop vs the engine (the one-column
+        // block PCG with its fused x/r update), both over the blocked
+        // SpMV. Fixed iteration count (rel_tol 0) keeps the two
+        // trajectories the same length.
         let (unfused, fused) = with_thread_cap(1, || {
             (
                 hicond_linalg::pcg_solve_unfused(&a, &m, &b, &pcg_opts),
@@ -375,7 +379,7 @@ fn main() {
         assert_eq!(
             (bits(&unfused.x), unfused.iterations),
             (bits(&fused.x), fused.iterations),
-            "fused PCG diverges bitwise from the unfused trajectory"
+            "engine PCG diverges bitwise from the textbook reference trajectory"
         );
         let iters = fused.iterations.max(1);
         let (unf_ns, fus_ns) = with_thread_cap(1, || {
@@ -405,7 +409,7 @@ fn main() {
             nnz,
             iters * nnz,
             fus_ns,
-            pcg_bytes_per_nnz(n, nnz, true, 14),
+            pcg_bytes_per_nnz(n, nnz, true, 15),
         ));
         hicond_linalg::set_spmv_block_threshold(None);
     }

@@ -16,19 +16,29 @@
 //! touched again, and subsequent operator sweeps cover only the surviving
 //! columns — the block shrinks instead of dragging converged work along.
 //!
+//! # One engine
+//!
+//! [`block_pcg_solve`] is the workspace's only PCG iteration: the
+//! single-rhs [`crate::cg::pcg_solve`] wraps its right-hand side as a
+//! one-column block, and `LaplacianSolver::solve` and `solve_block` in
+//! `hicond-precond` both reach it through one core. The iteration is the
+//! fused one: the `x`/`r` updates and the residual norm share one sweep
+//! ([`fused_update_x_r`]).
+//!
 //! # Bitwise contract
 //!
-//! Every column of a block solve is **bitwise identical** to running
-//! [`crate::cg::pcg_solve`] on that column alone, at any `HICOND_THREADS`
-//! cap and jitter seed. This holds because the engine performs, per column,
-//! exactly the fused solver's operation sequence on that column's contiguous
-//! slice: the same kernels ([`dot_with_scratch`], [`fused_update_x_r`],
-//! [`xpby`]) with the same length-only chunk geometry, and block operator
-//! applies whose per-column output is contractually bitwise equal to the
-//! single-vector apply. Interleaving columns reorders *between* columns,
-//! never *within* one — no arithmetic crosses columns, so each column's
-//! floating-point stream is unchanged. `tests/block_pcg.rs` holds the
-//! engine to this.
+//! Every column of a block solve is **bitwise identical** to running the
+//! textbook reference [`crate::cg::pcg_solve_unfused`] on that column
+//! alone, at any `HICOND_THREADS` cap and jitter seed. This holds because
+//! the engine performs, per column, the reference's operation sequence on
+//! that column's contiguous slice: the same kernels ([`dot_with_scratch`],
+//! [`xpby`], and [`fused_update_x_r`], which is bitwise equal to the
+//! reference's separate `x` and `r` sweeps) with the same length-only
+//! chunk geometry, and block operator applies whose per-column output is
+//! contractually bitwise equal to the single-vector apply. Interleaving
+//! columns reorders *between* columns, never *within* one — no arithmetic
+//! crosses columns, so each column's floating-point stream is unchanged.
+//! `tests/block_pcg.rs` holds the engine to this.
 
 use crate::cg::{CgOptions, CgResult, Preconditioner};
 use crate::ops::LinearOperator;
@@ -61,10 +71,11 @@ impl DenseBlock {
     /// # Panics
     ///
     /// Panics if the columns disagree in length.
-    pub fn from_columns(cols: &[Vec<f64>]) -> DenseBlock {
-        let n = cols.first().map_or(0, Vec::len);
+    pub fn from_columns<C: AsRef<[f64]>>(cols: &[C]) -> DenseBlock {
+        let n = cols.first().map_or(0, |c| c.as_ref().len());
         let mut data = Vec::with_capacity(n * cols.len());
         for c in cols {
+            let c = c.as_ref();
             assert_eq!(c.len(), n, "DenseBlock: ragged columns");
             data.extend_from_slice(c);
         }
@@ -107,43 +118,6 @@ impl DenseBlock {
         &mut self.data[j * self.n..(j + 1) * self.n]
     }
 
-    /// Mutable slices for a sorted, unique subset of columns — the shape
-    /// the block operator kernels consume (disjoint `&mut` column views
-    /// extracted in one pass, no unsafe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is not strictly increasing or indexes past `k`.
-    pub fn cols_mut_subset(&mut self, idx: &[usize]) -> Vec<&mut [f64]> {
-        let mut out = Vec::with_capacity(idx.len());
-        if self.n == 0 {
-            for w in idx.windows(2) {
-                assert!(w[0] < w[1], "DenseBlock: column subset must be sorted");
-            }
-            if let Some(&last) = idx.last() {
-                assert!(last < self.k, "DenseBlock: column {last} out of {}", self.k);
-            }
-            out.resize_with(idx.len(), Default::default);
-            return out;
-        }
-        let mut want = idx.iter().peekable();
-        for (j, col) in self.data.chunks_mut(self.n).enumerate() {
-            match want.peek() {
-                Some(&&w) if w == j => {
-                    out.push(col);
-                    want.next();
-                }
-                Some(&&w) => assert!(w > j, "DenseBlock: column subset must be sorted"),
-                None => break,
-            }
-        }
-        assert!(
-            want.peek().is_none(),
-            "DenseBlock: column subset index out of range"
-        );
-        out
-    }
-
     /// Consumes the block into its k columns.
     pub fn into_columns(mut self) -> Vec<Vec<f64>> {
         let mut out = Vec::with_capacity(self.k);
@@ -165,9 +139,55 @@ impl DenseBlock {
     }
 }
 
+/// Per-column observation state: a convergence watchdog plus the next
+/// residual decade that triggers a flight-recorder milestone. Observe-only
+/// — it reads computed residuals and never produces a value the iteration
+/// uses, so enabling it preserves bitwise determinism.
+struct ColumnMonitor {
+    watchdog: hicond_obs::Watchdog,
+    /// The starting residual is ‖b‖/‖b‖ = 1, so the first milestone fires
+    /// on crossing 1e-1.
+    next_milestone: f64,
+}
+
+impl ColumnMonitor {
+    fn new() -> ColumnMonitor {
+        ColumnMonitor {
+            watchdog: hicond_obs::Watchdog::new(),
+            next_milestone: 0.1,
+        }
+    }
+
+    fn observe(&mut self, it: usize, rel: f64) {
+        self.watchdog.observe(it as u64, rel);
+        if rel > 0.0 && rel.is_finite() && rel < self.next_milestone {
+            // One event per iteration at most, on crossing a residual
+            // decade; the loop advances the threshold past `rel`
+            // (bounded: at worst ~300 divisions down to underflow).
+            hicond_obs::flight::event(
+                hicond_obs::flight::EventKind::ResidualMilestone,
+                residual_milestone_id(),
+                it as u64,
+                rel.to_bits(),
+            );
+            while self.next_milestone > rel {
+                self.next_milestone /= 10.0;
+            }
+        }
+    }
+}
+
+/// Interned flight-recorder name for residual-decade milestones, resolved
+/// once per process so the hot loop never touches the intern mutex.
+fn residual_milestone_id() -> u32 {
+    static ID: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
+    *ID.get_or_init(|| hicond_obs::flight::intern("cg/residual_decade"))
+}
+
 /// Block PCG for `A X = B`, k right-hand sides at once, starting from
 /// `X = 0`. Returns one [`CgResult`] per column, index-aligned with the
-/// columns of `b`.
+/// columns of `b`. This is the workspace's only PCG engine;
+/// [`crate::cg::pcg_solve`] is its one-column case.
 ///
 /// Per iteration the engine performs **one** operator sweep
 /// ([`LinearOperator::apply_block`]) and **one** preconditioner sweep
@@ -176,10 +196,16 @@ impl DenseBlock {
 /// or break down numerically freeze and drop out of subsequent sweeps.
 ///
 /// Every column's outputs (`x`, `iterations`, `converged`,
-/// `final_rel_residual`, `residual_history`) are bitwise identical to a
-/// solo [`crate::cg::pcg_solve`] on that column — see the module docs for
-/// why — and therefore also deterministic across thread caps and jitter
-/// seeds.
+/// `final_rel_residual`, `residual_history`) are bitwise identical to
+/// [`crate::cg::pcg_solve_unfused`] on that column — see the module docs
+/// for why — and therefore also deterministic across thread caps and
+/// jitter seeds.
+///
+/// With observability on, the solve opens a `pcg` span and records, per
+/// column, the `cg/*` counters and histogram, a convergence watchdog, and
+/// residual-decade flight milestones; the `cg/residual` trace follows the
+/// lowest-index nonzero column. The iteration loop allocates nothing,
+/// with recording on or off.
 ///
 /// # Panics
 ///
@@ -193,22 +219,22 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
 ) -> Vec<CgResult> {
     let n = a.dim();
     let k = b.k();
-    assert_eq!(b.n(), n, "block_pcg: rhs column length");
-    assert_eq!(m.dim(), n, "block_pcg: preconditioner dim");
+    assert_eq!(b.n(), n, "pcg: rhs length");
+    assert_eq!(m.dim(), n, "pcg: preconditioner dim");
+    // One relaxed load; recorded values never feed back into the
+    // iteration, so on/off runs are bitwise identical.
     let obs_on = hicond_obs::enabled();
-    let _span = hicond_obs::span("block_pcg");
-    if obs_on {
-        hicond_obs::counter_add("cg/block_solves", 1);
-        hicond_obs::counter_add("cg/block_columns", k as u64);
-    }
+    let _span = hicond_obs::span("pcg");
     let mut bnorm = vec![0.0; k];
     let mut rz = vec![0.0; k];
     let mut iterations = vec![0usize; k];
     let mut converged = vec![false; k];
     let mut history: Vec<Vec<f64>> = vec![Vec::new(); k];
-    // Zero columns are converged at iteration 0, exactly like the solo
-    // solver's early return; they never enter the active set.
+    // Zero columns are converged at iteration 0 and never enter the
+    // active set. `active` and `survivors` are the loop's only index
+    // buffers, sized once here and reused every iteration.
     let mut active: Vec<usize> = Vec::with_capacity(k);
+    let mut survivors: Vec<usize> = Vec::with_capacity(k);
     for j in 0..k {
         bnorm[j] = norm2(b.col(j));
         // exact: a norm is 0.0 iff the column is identically zero.
@@ -218,14 +244,27 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             active.push(j);
         }
     }
+    let traced = active.first().copied();
+    let mut monitors: Vec<ColumnMonitor> = Vec::new();
+    if obs_on {
+        hicond_obs::counter_add("cg/solves", k as u64);
+        hicond_obs::counter_add(
+            "cg/scratch_bytes",
+            8 * (5 * (n * k) as u64 + scratch_len(n) as u64),
+        );
+        // Reserve the whole series so per-iteration pushes never allocate.
+        hicond_obs::trace_start("cg/residual", opts.max_iter.saturating_add(1));
+        if let Some(j) = traced {
+            // r₀ = b, so ‖r₀‖ is the column norm just computed.
+            hicond_obs::trace_push("cg/residual", bnorm[j]);
+        }
+        monitors.extend((0..k).map(|_| ColumnMonitor::new()));
+    }
     let mut x = DenseBlock::new(n, k);
     let mut r = b.clone();
     let mut z = DenseBlock::new(n, k);
     let mut ap = DenseBlock::new(n, k);
     let mut partials = vec![0.0; scratch_len(n)];
-    // Initial preconditioned residual: one block apply, then the solo
-    // solver's rᵀz with the shared scratch kernel (the apply_dot_into
-    // overrides are contractually bitwise equal to this split sequence).
     m.apply_block(&r, &mut z, &active);
     let mut p = DenseBlock::new(n, k);
     for &j in &active {
@@ -233,16 +272,16 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
         p.copy_col_from(j, &z);
         if opts.record_residuals {
             history[j].reserve(opts.max_iter + 2);
-            history[j].push(norm2(r.col(j)));
+            history[j].push(bnorm[j]);
         }
     }
     let mut it = 0;
     while it < opts.max_iter && !active.is_empty() {
         a.apply_block(&p, &mut ap, &active);
-        // Per-column direction dot, fused x/r update, convergence check —
-        // the solo loop's head, column-interleaved. Scanning `active` in
-        // increasing column order keeps the schedule k-independent.
-        let mut survivors = Vec::with_capacity(active.len());
+        // Per-column direction dot, fused x/r update, convergence check.
+        // Scanning `active` in increasing column order keeps the schedule
+        // k-independent.
+        survivors.clear();
         for &j in &active {
             let pap = dot_with_scratch(p.col(j), ap.col(j), &mut partials);
             if pap <= 0.0 {
@@ -252,6 +291,7 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             if !alpha.is_finite() {
                 continue; // breakdown: freeze
             }
+            // One pass over (p, ap, x, r): x += α·p, r −= α·ap, acc ‖r‖².
             let rnorm = fused_update_x_r(
                 alpha,
                 p.col(j),
@@ -265,6 +305,12 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             if opts.record_residuals {
                 history[j].push(rnorm);
             }
+            if let Some(mon) = monitors.get_mut(j) {
+                if traced == Some(j) {
+                    hicond_obs::trace_push("cg/residual", rnorm);
+                }
+                mon.observe(iterations[j], rnorm / bnorm[j]);
+            }
             if rnorm <= opts.rel_tol * bnorm[j] {
                 converged[j] = true;
                 continue; // done: freeze
@@ -276,37 +322,31 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
         }
         it += 1;
         if survivors.is_empty() || it >= opts.max_iter {
-            // The solo solver would run one more preconditioner apply here
-            // before its loop condition fails; skipping it changes only
-            // internal scratch (z, p), never a reported output.
+            // The textbook loop would run one more preconditioner apply
+            // here before its loop condition fails; skipping it changes
+            // only internal scratch (z, p), never a reported output.
             break;
         }
-        // One preconditioner sweep for every surviving column, then the
-        // solo loop's tail: rᵀz, breakdown test, β, direction update.
+        // One preconditioner sweep for every surviving column, then rᵀz,
+        // the breakdown test, β, and the direction update per column.
         m.apply_block(&r, &mut z, &survivors);
-        let mut next = Vec::with_capacity(survivors.len());
+        active.clear();
         for &j in &survivors {
             let rz_new = dot_with_scratch(r.col(j), z.col(j), &mut partials);
-            // β = rz_new/rz divides by this value; only an exact zero
-            // (or non-finite) poisons it — exact compare, like the solo solver.
+            // β = rz_new/rz divides by this value; only a zero or
+            // non-finite value poisons it, so the compare is exact.
             if rz_new == 0.0 || !rz_new.is_finite() {
                 continue; // stagnated: freeze
             }
             let beta = rz_new / rz[j];
             rz[j] = rz_new;
             xpby(z.col(j), beta, p.col_mut(j));
-            next.push(j);
+            active.push(j);
         }
-        active = next;
     }
-    if obs_on {
-        hicond_obs::counter_add(
-            "cg/block_iterations",
-            iterations.iter().map(|&i| i as u64).sum(),
-        );
-    }
-    let xs = x.into_columns();
-    xs.into_iter()
+    let results: Vec<CgResult> = x
+        .into_columns()
+        .into_iter()
         .enumerate()
         .map(|(j, xj)| CgResult {
             x: xj,
@@ -320,13 +360,22 @@ pub fn block_pcg_solve<A: LinearOperator, M: Preconditioner>(
             residual_history: std::mem::take(&mut history[j]),
             converged: converged[j],
         })
-        .collect()
+        .collect();
+    if obs_on {
+        let total: usize = iterations.iter().sum();
+        hicond_obs::counter_add("cg/iterations", total as u64);
+        for res in &results {
+            hicond_obs::hist_record("cg/iterations_per_solve", res.iterations as f64);
+            hicond_obs::gauge_set("cg/final_rel_residual", res.final_rel_residual);
+        }
+    }
+    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::{pcg_solve, IdentityPreconditioner, JacobiPreconditioner};
+    use crate::cg::{pcg_solve_unfused, IdentityPreconditioner, JacobiPreconditioner};
     use crate::csr::{CooBuilder, CsrMatrix};
 
     fn spd_tridiag(n: usize) -> CsrMatrix {
@@ -356,9 +405,7 @@ mod tests {
         assert_eq!((blk.n(), blk.k()), (2, 3));
         assert_eq!(blk.col(1), &[3.0, 4.0]);
         blk.col_mut(2)[0] = 9.0;
-        let subset = blk.cols_mut_subset(&[0, 2]);
-        assert_eq!(subset.len(), 2);
-        assert_eq!(&*subset[1], &[9.0, 6.0]);
+        assert_eq!(blk.col(2), &[9.0, 6.0]);
         assert_eq!(
             blk.into_columns(),
             vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![9.0, 6.0]]
@@ -366,16 +413,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "column subset")]
-    fn cols_mut_subset_rejects_unsorted() {
-        let mut blk = DenseBlock::new(3, 3);
-        let _ = blk.cols_mut_subset(&[2, 0]);
-    }
-
-    #[test]
     fn empty_column_block() {
-        let mut blk = DenseBlock::new(0, 2);
-        assert_eq!(blk.cols_mut_subset(&[0, 1]).len(), 2);
+        let blk = DenseBlock::new(0, 2);
+        assert!(blk.col(1).is_empty());
         assert_eq!(blk.into_columns(), vec![Vec::<f64>::new(); 2]);
     }
 
@@ -389,7 +429,7 @@ mod tests {
         let opts = CgOptions::default();
         let block = block_pcg_solve(&a, &m, &b, &opts);
         for (j, col) in cols.iter().enumerate() {
-            let solo = pcg_solve(&a, &m, col, &opts);
+            let solo = pcg_solve_unfused(&a, &m, col, &opts);
             assert_eq!(block[j].iterations, solo.iterations, "col {j}");
             assert_eq!(block[j].converged, solo.converged, "col {j}");
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
@@ -424,7 +464,7 @@ mod tests {
         let col = rhs(n, 11);
         let b = DenseBlock::from_columns(std::slice::from_ref(&col));
         let blk = block_pcg_solve(&a, &IdentityPreconditioner(n), &b, &CgOptions::default());
-        let solo = pcg_solve(&a, &IdentityPreconditioner(n), &col, &CgOptions::default());
+        let solo = pcg_solve_unfused(&a, &IdentityPreconditioner(n), &col, &CgOptions::default());
         assert_eq!(blk.len(), 1);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&blk[0].x), bits(&solo.x));
@@ -452,7 +492,7 @@ mod tests {
         assert_eq!(res[2].iterations, 0);
         // Each column still matches its solo run exactly.
         for (j, col) in [easy, hard].iter().enumerate() {
-            let solo = pcg_solve(&a, &m, col, &opts);
+            let solo = pcg_solve_unfused(&a, &m, col, &opts);
             assert_eq!(res[j].iterations, solo.iterations, "col {j}");
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&res[j].x), bits(&solo.x), "col {j}");

@@ -65,25 +65,29 @@ impl LinearOperator for CsrMatrix {
         self.mul_into_with(x, y, Parallelism::default());
     }
 
-    /// Band-major block SpMV: one sweep of the band index feeds every
-    /// active column ([`crate::blocked::BlockIndex::mul_block_into`]),
-    /// with the same dispatch thresholds as [`CsrMatrix::mul_into_with`].
-    /// Per-column results are bitwise identical to `apply_into` on every
-    /// path, so the dispatch remains a pure performance knob.
+    /// Block SpMV over the active columns. When the caller dispatches on
+    /// one thread (or the matrix is below the parallel size), above the
+    /// blocked-dispatch threshold, one band-major sweep of the band index
+    /// feeds every active column ([`crate::blocked::BlockIndex::mul_block_into`]);
+    /// otherwise each column takes [`CsrMatrix::mul_into_with`], whose
+    /// parallel path spreads that column's bands across the pool. Both
+    /// paths allocate nothing, and per-column results are bitwise
+    /// identical to `apply_into` on every path, so the dispatch remains a
+    /// pure performance knob.
     fn apply_block(&self, x: &DenseBlock, y: &mut DenseBlock, active: &[usize]) {
         assert_eq!(x.n(), self.ncols(), "apply_block: x column length");
         assert_eq!(y.n(), self.nrows(), "apply_block: y column length");
-        if self.nnz() >= crate::blocked::spmv_block_threshold() {
+        let par = Parallelism::default();
+        let parallel =
+            par.is_parallel() && self.nrows() >= 4096 && rayon::pool::effective_threads() > 1;
+        if !parallel && self.nnz() >= crate::blocked::spmv_block_threshold() {
             if let Some(bi) = self.block_index() {
-                let xs: Vec<&[f64]> = active.iter().map(|&j| x.col(j)).collect();
-                let mut ys = y.cols_mut_subset(active);
-                let parallel = Parallelism::default().is_parallel() && self.nrows() >= 4096;
-                bi.mul_block_into(self.col_idx(), self.values(), &xs, &mut ys, parallel);
+                bi.mul_block_into(self.col_idx(), self.values(), x, y, active);
                 return;
             }
         }
         for &j in active {
-            self.mul_into_with(x.col(j), y.col_mut(j), Parallelism::default());
+            self.mul_into_with(x.col(j), y.col_mut(j), par);
         }
     }
 }

@@ -222,78 +222,6 @@ pub fn fused_update_x_r(
     rayon::tree_sum(partials)
 }
 
-/// Fused diagonal-preconditioner apply + dot: `z = r ⊙ s` and `rᵀz`
-/// accumulated in the same traversal (the Jacobi `z = M⁻¹r` fused with
-/// the PCG `rᵀz`), eliminating one full read sweep per iteration.
-///
-/// Per-element arithmetic is exactly `z_i = r_i * s_i; acc += r_i * z_i`
-/// with the shared chunk geometry, so the result is bitwise identical to
-/// `hadamard_into` followed by [`dot_with_scratch`].
-///
-/// # Panics
-///
-/// Panics if `r`, `s`, and `z` differ in length or `partials` is shorter
-/// than `scratch_len(r.len())`.
-pub fn fused_scale_dot(s: &[f64], r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
-    let n = r.len();
-    assert_eq!(s.len(), n, "fused_scale_dot: scale length mismatch");
-    assert_eq!(z.len(), n, "fused_scale_dot: output length mismatch");
-    let body = |sc: &[f64], rc: &[f64], zc: &mut [f64]| -> f64 {
-        let mut acc = 0.0;
-        for ((zi, ri), si) in zc.iter_mut().zip(rc).zip(sc) {
-            *zi = ri * si;
-            acc += ri * *zi;
-        }
-        acc
-    };
-    if n <= MIN_PAR_CHUNK {
-        return body(s, r, z);
-    }
-    let cl = chunk_len(n);
-    let nchunks = scratch_len(n);
-    let partials = &mut partials[..nchunks];
-    partials
-        .par_iter_mut()
-        .zip(z.par_chunks_mut(cl))
-        .zip(r.par_chunks(cl))
-        .zip(s.par_chunks(cl))
-        .for_each(|(((out, zc), rc), sc)| *out = body(sc, rc, zc));
-    rayon::tree_sum(partials)
-}
-
-/// Fused copy + dot: `z = r` and `rᵀz = rᵀr` in one traversal (the
-/// identity-preconditioner apply fused with the PCG `rᵀz`). Bitwise
-/// identical to `copy_from_slice` followed by [`dot_with_scratch`].
-///
-/// # Panics
-///
-/// Panics if `r` and `z` differ in length or `partials` is shorter than
-/// `scratch_len(r.len())`.
-pub fn fused_copy_dot(r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
-    let n = r.len();
-    assert_eq!(z.len(), n, "fused_copy_dot: length mismatch");
-    let body = |rc: &[f64], zc: &mut [f64]| -> f64 {
-        let mut acc = 0.0;
-        for (zi, ri) in zc.iter_mut().zip(rc) {
-            *zi = *ri;
-            acc += ri * *zi;
-        }
-        acc
-    };
-    if n <= MIN_PAR_CHUNK {
-        return body(r, z);
-    }
-    let cl = chunk_len(n);
-    let nchunks = scratch_len(n);
-    let partials = &mut partials[..nchunks];
-    partials
-        .par_iter_mut()
-        .zip(z.par_chunks_mut(cl))
-        .zip(r.par_chunks(cl))
-        .for_each(|((out, zc), rc)| *out = body(rc, zc));
-    rayon::tree_sum(partials)
-}
-
 /// `p = z + beta·p` (the CG search-direction update), parallel above the
 /// chunk crossover, allocation-free.
 ///
@@ -568,37 +496,6 @@ mod tests {
             let unfused = fused_axpy_dot_self(-alpha, &ap, &mut r2, &mut partials);
             assert_eq!(x1, x2, "n={n}");
             assert_eq!(r1, r2, "n={n}");
-            assert_eq!(fused.to_bits(), unfused.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn fused_scale_dot_matches_unfused_sequence() {
-        for n in [64usize, 70_000] {
-            let s: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + (i % 9) as f64)).collect();
-            let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-            let mut z1 = vec![0.0; n];
-            let mut z2 = vec![0.0; n];
-            let mut partials = vec![0.0; scratch_len(n)];
-            let fused = fused_scale_dot(&s, &r, &mut z1, &mut partials);
-            hadamard_into(&r, &s, &mut z2);
-            let unfused = dot_with_scratch(&r, &z2, &mut partials);
-            assert_eq!(z1, z2, "n={n}");
-            assert_eq!(fused.to_bits(), unfused.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn fused_copy_dot_matches_unfused_sequence() {
-        for n in [33usize, 70_000] {
-            let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).cos()).collect();
-            let mut z1 = vec![0.0; n];
-            let mut z2 = vec![0.0; n];
-            let mut partials = vec![0.0; scratch_len(n)];
-            let fused = fused_copy_dot(&r, &mut z1, &mut partials);
-            z2.copy_from_slice(&r);
-            let unfused = dot_with_scratch(&r, &z2, &mut partials);
-            assert_eq!(z1, z2, "n={n}");
             assert_eq!(fused.to_bits(), unfused.to_bits(), "n={n}");
         }
     }

@@ -1,9 +1,11 @@
 //! Proves the PCG iteration loop is allocation-free: all scratch (r, z,
-//! p, ap, chunk partials, residual history) is preallocated before the
-//! loop, so the *number of heap allocations is independent of the
-//! iteration count*. A counting global allocator runs the same system for
-//! 30 and for 60 fixed iterations and asserts the totals are equal — any
-//! per-iteration allocation would show up as a nonzero difference.
+//! p, ap, chunk partials, residual history, active-column index buffers)
+//! is preallocated before the loop, so the *number of heap allocations is
+//! independent of the iteration count*. A counting global allocator runs
+//! the same system for 30 and for 60 fixed iterations and asserts the
+//! totals are equal — any per-iteration allocation would show up as a
+//! nonzero difference. Both the one-column solve and a three-column
+//! block solve are checked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +43,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 use hicond_linalg::cg::{pcg_solve, CgOptions, JacobiPreconditioner};
 use hicond_linalg::csr::{CooBuilder, CsrMatrix};
+use hicond_linalg::{block_pcg_solve, DenseBlock};
 
 fn spd_tridiag(n: usize) -> CsrMatrix {
     let mut b = CooBuilder::new(n, n);
@@ -53,6 +56,15 @@ fn spd_tridiag(n: usize) -> CsrMatrix {
     b.build()
 }
 
+/// The allocation counter is process-wide, so the tests in this binary
+/// take turns: a concurrent test's allocations would land in the other's
+/// window.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let out = f();
@@ -62,6 +74,7 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 #[test]
 fn pcg_iteration_loop_is_allocation_free() {
+    let _serial = serial();
     // Above the 2^14 BLAS-1 chunk crossover so every parallel kernel
     // (dot_with_scratch, fused_axpy_dot_self, xpby, par_axpy, par SpMV)
     // takes its dispatching path.
@@ -90,4 +103,45 @@ fn pcg_iteration_loop_is_allocation_free() {
              the PCG loop allocated per iteration ({a30} vs {a60})"
         );
     });
+}
+
+#[test]
+fn block_pcg_iteration_loop_is_allocation_free() {
+    let _serial = serial();
+    // Three columns of the same system as above, so the block SpMV and
+    // the per-iteration active-set bookkeeping run with k > 1.
+    let n = 20_000;
+    let a = spd_tridiag(n);
+    let cols: Vec<Vec<f64>> = (0..3)
+        .map(|s| (0..n).map(|i| (((i + 7 * s) % 23) as f64) - 11.0).collect())
+        .collect();
+    let b = DenseBlock::from_columns(&cols);
+    let m = JacobiPreconditioner::from_diagonal(&a.diagonal());
+    let opts = |iters: usize| CgOptions {
+        rel_tol: 0.0, // never met: run exactly `iters` iterations
+        max_iter: iters,
+        record_residuals: true,
+    };
+
+    // Also with recording on: the watchdog, milestone events, and the
+    // residual trace must not allocate per iteration either. The warmup
+    // runs the longer solve so one-time registrations (trace capacity,
+    // anomaly counters) happen before the measured windows.
+    for mode in [hicond_obs::Mode::Off, hicond_obs::Mode::Json] {
+        hicond_obs::set_mode(mode);
+        rayon::pool::with_thread_cap(4, || {
+            let _warmup = block_pcg_solve(&a, &m, &b, &opts(60));
+
+            let (r30, a30) = allocs_during(|| block_pcg_solve(&a, &m, &b, &opts(30)));
+            let (r60, a60) = allocs_during(|| block_pcg_solve(&a, &m, &b, &opts(60)));
+            assert!(r30.iter().all(|r| r.iterations == 30));
+            assert!(r60.iter().all(|r| r.iterations == 60));
+            assert_eq!(
+                a30, a60,
+                "{mode:?}: doubling the iteration count changed the allocation count: \
+                 the block PCG loop allocated per iteration ({a30} vs {a60})"
+            );
+        });
+    }
+    hicond_obs::set_mode(hicond_obs::Mode::Off);
 }

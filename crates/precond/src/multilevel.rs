@@ -17,7 +17,6 @@
 use crate::steiner::GroundedLaplacianSolver;
 use hicond_core::{build_hierarchy, Hierarchy, HierarchyOptions};
 use hicond_graph::{laplacian, Graph};
-use hicond_linalg::vector::dot_with_scratch;
 use hicond_linalg::{CsrMatrix, DenseBlock, LinearOperator, Preconditioner};
 use std::sync::Mutex;
 
@@ -183,6 +182,9 @@ impl MultilevelSteiner {
         self.levels.len() + 1
     }
 
+    /// The allocating single-vector V-cycle, kept as the independent
+    /// reference the block cycle is tested against bitwise.
+    #[cfg(test)]
     fn cycle(&self, level: usize, r: &[f64]) -> Vec<f64> {
         if level == self.levels.len() {
             return self.coarse.solve(r);
@@ -220,53 +222,6 @@ impl MultilevelSteiner {
             .collect()
     }
 
-    /// Level-0 cycle writing straight into the caller's output buffer.
-    ///
-    /// The recursion below level 0 is unchanged ([`Self::cycle`]); only the
-    /// outermost combination — the one full-length sweep PCG pays on every
-    /// apply — is restructured to skip the intermediate `Vec` and the
-    /// `copy_from_slice` sweep. Each output element is computed by the
-    /// exact same elementwise expression as in `cycle`, so the bits in `z`
-    /// are identical to the allocate-then-copy path.
-    fn cycle_into(&self, r: &[f64], z: &mut [f64]) {
-        if self.levels.is_empty() {
-            z.copy_from_slice(&self.coarse.solve(r));
-            return;
-        }
-        let l = &self.levels[0];
-        let restrict = |res: &[f64]| -> Vec<f64> {
-            let mut out = vec![0.0; l.num_clusters];
-            for (v, &c) in l.assignment.iter().enumerate() {
-                // Hierarchy construction keeps every assignment entry
-                // in bounds: c < num_clusters == out.len().
-                out[c as usize] += res[v];
-            }
-            out
-        };
-        if !self.smoothing {
-            let coarse = self.cycle(1, &restrict(r));
-            for (v, (zv, &rv)) in z.iter_mut().zip(r).enumerate() {
-                // bounds: assignment < num_clusters == coarse.len().
-                *zv = l.inv_d[v] * rv + coarse[l.assignment[v] as usize];
-            }
-            return;
-        }
-        let n = r.len();
-        let mut v1: Vec<f64> = (0..n).map(|v| self.omega * l.inv_d[v] * r[v]).collect();
-        let mut av = vec![0.0; n];
-        l.lap.mul_into_with(&v1, &mut av, Default::default());
-        let r2: Vec<f64> = (0..n).map(|v| r[v] - av[v]).collect();
-        let coarse = self.cycle(1, &restrict(&r2));
-        for (v, val) in v1.iter_mut().enumerate() {
-            // bounds: assignment < num_clusters == coarse.len().
-            *val += coarse[l.assignment[v] as usize];
-        }
-        l.lap.mul_into_with(&v1, &mut av, Default::default());
-        for (v, zv) in z.iter_mut().enumerate() {
-            *zv = v1[v] + self.omega * l.inv_d[v] * (r[v] - av[v]);
-        }
-    }
-
     /// Multi-column cycle: one walk of the hierarchy serves every active
     /// column of `rb`, writing results into the matching columns of `out`.
     /// Per level, the restriction table, the level Laplacian (via its
@@ -277,13 +232,15 @@ impl MultilevelSteiner {
     /// [`BlockWs`] (one [`LevelWs`] per level, `ws[0]` for this level),
     /// so a steady-state apply performs no large allocations.
     ///
-    /// Every per-column arithmetic expression, and its evaluation order,
-    /// is copied verbatim from [`Self::cycle`]/[`Self::cycle_into`] (the
-    /// level SpMV goes through `apply_block`, whose per-column output is
-    /// contractually bitwise equal to `mul_into_with`; the restriction
-    /// accumulates the summand `r[v] − (Av₁)[v]` in the same vertex order
-    /// the solo path materializes it), so each column of the result is
-    /// bitwise identical to a single-vector cycle on that column.
+    /// This is the only V-cycle: single-vector applies are its one-column
+    /// case. Every per-column arithmetic expression, and its evaluation
+    /// order, matches the textbook single-vector cycle kept as the test
+    /// reference (the level SpMV goes through `apply_block`, whose
+    /// per-column output is contractually bitwise equal to
+    /// `mul_into_with`; the restriction accumulates the summand
+    /// `r[v] − (Av₁)[v]` in the same vertex order the reference
+    /// materializes it), so each column of the result is bitwise identical
+    /// to a single-vector cycle on that column.
     fn cycle_block_into(
         &self,
         level: usize,
@@ -368,22 +325,12 @@ impl Preconditioner for MultilevelSteiner {
         self.n
     }
 
+    /// A one-column [`Self::apply_block`]: the single-vector apply runs
+    /// the same hierarchy walk (and workspace stack) as a batch.
     fn apply_into(&self, r: &[f64], z: &mut [f64]) {
-        let _span = hicond_obs::span("precond_apply");
-        hicond_obs::counter_add("precond/ml_applies", 1);
-        self.cycle_into(r, z);
-    }
-
-    fn apply_dot_into(&self, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> f64 {
-        let _span = hicond_obs::span("precond_apply");
-        hicond_obs::counter_add("precond/ml_applies", 1);
-        hicond_obs::counter_add("precond/fused_applies", 1);
-        // The fused entry point writes z in place (no intermediate vector,
-        // no copy sweep) and computes rᵀz with the standard chunked kernel
-        // — the same function the default trait sequence uses, so the
-        // override is bitwise-transparent by construction.
-        self.cycle_into(r, z);
-        dot_with_scratch(r, z, partials)
+        let mut zb = DenseBlock::new(self.n, 1);
+        self.apply_block(&DenseBlock::from_columns(&[r]), &mut zb, &[0]);
+        z.copy_from_slice(zb.col(0));
     }
 
     fn apply_block(&self, r: &DenseBlock, z: &mut DenseBlock, active: &[usize]) {
@@ -558,9 +505,10 @@ mod tests {
 
     #[test]
     fn block_apply_matches_single_apply_bitwise() {
-        // The shared-traversal block cycle must reproduce apply_into bit
-        // for bit on every active column, for both cycle flavors, deep and
-        // single-level hierarchies, and strict active subsets.
+        // The shared-traversal block cycle must reproduce the reference
+        // single-vector cycle bit for bit on every active column, for both
+        // cycle flavors, deep and single-level hierarchies, and strict
+        // active subsets.
         let g = generators::grid2d(20, 20, |u, v| 1.0 + ((u + 2 * v) % 5) as f64);
         let n = g.num_vertices();
         for (smoothing, coarse_size) in [(true, 16), (false, 16), (true, 1000)] {
@@ -589,7 +537,7 @@ mod tests {
                 let mut z = hicond_linalg::DenseBlock::new(n, 3);
                 m.apply_block(&r, &mut z, &active);
                 for &j in &active {
-                    let solo = m.apply(&cols[j]);
+                    let solo = m.cycle(0, &cols[j]);
                     let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         bits(z.col(j)),

@@ -36,9 +36,11 @@
 //! worker threads, so one request's full span tree is reassemblable from
 //! a `metrics` scrape. Malformed requests bump the `serve/bad_request`
 //! obs counter so a fleet operator can see a misbehaving client without
-//! scraping replies. A convergence watchdog inside PCG plus a serve-level
-//! preconditioner-staleness rule raise `anomaly/*` events (see
-//! `hicond_obs::watchdog`).
+//! scraping replies. A convergence watchdog inside PCG (one per column,
+//! so batched TCP requests are watched as well as stdin ones) plus a
+//! serve-level preconditioner-staleness rule raise `anomaly/*` events
+//! (see `hicond_obs::watchdog`); on the TCP path the watchdog's events
+//! and the residual-decade milestones carry the batch's trace id.
 //!
 //! ## Module layout
 //!

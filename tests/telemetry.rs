@@ -9,7 +9,10 @@
 //!    span enter/exit events within that trace are balanced, so an
 //!    operator (or `hicond top`) can rebuild the request's full span tree
 //!    from a single drained window.
-//! 2. **Black-box on crash.** A panicking process ships a one-line
+//! 2. **Convergence telemetry on the batched path.** A block solve
+//!    records one residual-decade milestone per decade each column
+//!    crosses — the same events its columns would record as solo solves.
+//! 3. **Black-box on crash.** A panicking process ships a one-line
 //!    `{"flight_recorder": …}` JSON dump on stderr that the crate's own
 //!    parser accepts, with the trailing events intact (exercised against
 //!    the real binary via the hidden `flight-panic` verb).
@@ -125,6 +128,78 @@ fn metrics_scrape_reassembles_one_request_span_tree_by_trace_id() {
             "span {want:?} missing from the trace (got {by_name:?})"
         );
     }
+}
+
+#[test]
+fn block_solve_records_residual_milestones_for_every_column() {
+    obs::set_mode(Mode::Json);
+    let g = generators::grid2d(24, 24, |u, v| 1.0 + ((u + 2 * v) % 3) as f64);
+    let n = g.num_vertices();
+    let solver = LaplacianSolver::new(&g, &SolverOptions::default());
+    let cols: Vec<Vec<f64>> = (0..2)
+        .map(|s| {
+            let mut b: Vec<f64> = (0..n)
+                .map(|i| (((i + 5 * s) * 37 + 11) % 23) as f64 - 11.0)
+                .collect();
+            let mean = b.iter().sum::<f64>() / n as f64;
+            b.iter_mut().for_each(|v| *v -= mean);
+            b
+        })
+        .collect();
+    // The milestone rule applied to a residual trajectory: one event per
+    // iteration whose relative residual enters a new decade below 1e-1.
+    let decades = |hist: &[f64]| {
+        let mut next = 0.1f64;
+        let mut count = 0;
+        for &r in &hist[1..] {
+            let rel = r / hist[0];
+            if rel > 0.0 && rel.is_finite() && rel < next {
+                count += 1;
+                while next > rel {
+                    next /= 10.0;
+                }
+            }
+        }
+        count
+    };
+    let expected: usize = cols
+        .iter()
+        .map(|b| decades(&solver.solve_recording(b).expect("solo solves").1))
+        .sum();
+    assert!(
+        expected >= 8,
+        "each column crosses several decades ({expected})"
+    );
+    // Milestone events recorded under a fresh trace id while `f` runs;
+    // filtering by the id keeps concurrent tests out of the count.
+    let milestones = |f: &dyn Fn()| {
+        let trace = obs::flight::next_trace_id();
+        let since = obs::flight::recorder().head();
+        {
+            let _scope = obs::flight::trace_scope(trace);
+            f();
+        }
+        obs::flight::recorder()
+            .drain_since(since)
+            .iter()
+            .filter(|e| e.trace == trace && e.kind == obs::flight::EventKind::ResidualMilestone)
+            .count()
+    };
+    let solo = milestones(&|| {
+        for b in &cols {
+            solver.solve(b).expect("solo solves");
+        }
+    });
+    let block = milestones(&|| {
+        for r in solver.solve_block(&cols) {
+            r.expect("block column solves");
+        }
+    });
+    assert_eq!(solo, expected, "solo solves: one milestone per decade");
+    assert_eq!(
+        block, expected,
+        "block solve: one milestone per decade per column"
+    );
 }
 
 #[test]
